@@ -174,7 +174,7 @@ fn render_json(reports: &[PhaseReport]) -> String {
 fn main() {
     sfn_obs::init();
     sfn_faults::init_from_env();
-    let quick = std::env::var("SFN_QUICK").is_ok();
+    let quick = sfn_bench::quick();
     let secs = std::env::var("SFN_BENCH_SECS")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())

@@ -89,7 +89,7 @@ pub fn sweep(env: &BenchEnv) -> Sweep {
         env.problems_per_grid,
         env.steps
     );
-    let path = OfflineArtifacts::cache_path(&crate::experiments::sweep::hash_key(&key));
+    let path = OfflineArtifacts::cache_path(&format!("{:016x}", sfn_rng::fnv1a(key.as_bytes())));
     if let Ok(text) = std::fs::read_to_string(&path) {
         if let Ok(s) = sfn_obs::json::from_json_str::<Sweep>(&text) {
             return s;
@@ -146,15 +146,6 @@ pub fn sweep(env: &BenchEnv) -> Sweep {
     }
     std::fs::write(&path, sfn_obs::json::to_json_string(&s)).ok();
     s
-}
-
-fn hash_key(s: &str) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    format!("{h:016x}")
 }
 
 impl Sweep {

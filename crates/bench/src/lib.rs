@@ -35,10 +35,16 @@ pub mod timing;
 
 pub use env::BenchEnv;
 
+/// Whether `SFN_QUICK=1` asks for seconds-scale runs. Any other value,
+/// `SFN_QUICK=0` included, means the standard scale.
+pub fn quick() -> bool {
+    std::env::var("SFN_QUICK").is_ok_and(|v| v == "1")
+}
+
 /// The environment every experiment binary uses: quick (seconds-scale)
-/// when `SFN_QUICK=1`, the standard scale otherwise.
+/// when [`quick`], the standard scale otherwise.
 pub fn bench_env() -> BenchEnv {
-    if std::env::var("SFN_QUICK").map(|v| v == "1").unwrap_or(false) {
+    if quick() {
         BenchEnv::quick()
     } else {
         BenchEnv::standard()

@@ -20,8 +20,9 @@
 //! between the protocol stages so the kill-9 harness can SIGKILL the
 //! process at each one and prove the invariants hold.
 
-use crate::format::{encode, fnv1a, CheckpointDoc};
+use crate::format::{encode, CheckpointDoc};
 use sfn_obs::Level;
+use sfn_rng::fnv1a;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};

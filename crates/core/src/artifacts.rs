@@ -202,6 +202,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The committed default-roster artifacts (16.4 MB, the largest JSON
+    /// document the pipeline reads) load and re-encode byte for byte, and
+    /// the load stays far from the quadratic parse's tens of seconds.
+    #[test]
+    fn pinned_artifacts_round_trip_byte_for_byte() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../perfbench/artifacts");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "json") {
+                continue;
+            }
+            let start = std::time::Instant::now();
+            let artifacts = OfflineArtifacts::load(&path).unwrap();
+            let took = start.elapsed();
+            assert!(took < std::time::Duration::from_secs(5), "{path:?} took {took:?}");
+            let bytes = std::fs::read(&path).unwrap();
+            assert!(sfn_obs::json::to_json_string(&artifacts).as_bytes() == bytes, "{path:?}");
+            checked += 1;
+        }
+        assert!(checked > 0, "no pinned artifacts under {dir:?}");
+    }
+
     #[test]
     fn cache_path_is_keyed() {
         let a = OfflineArtifacts::cache_path("abc");

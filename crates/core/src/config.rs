@@ -154,13 +154,7 @@ impl OfflineConfig {
     pub fn cache_key(&self) -> String {
         // FNV-1a over the debug rendering: stable within a build, cheap,
         // and collision-safe enough for a local artifact cache.
-        let repr = format!("{self:?}");
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in repr.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", sfn_rng::fnv1a(format!("{self:?}").as_bytes()))
     }
 }
 

@@ -219,7 +219,7 @@ fn main() -> ExitCode {
             for target in targets::all() {
                 use sfn_rng::SeedableRng;
                 let mut rng = sfn_rng::StdRng::seed_from_u64(
-                    opts.seed ^ sfn_fuzz::fnv1a(target.name.as_bytes()),
+                    opts.seed ^ sfn_rng::fnv1a(target.name.as_bytes()),
                 );
                 let mut seeds: Vec<Vec<u8>> = Vec::new();
                 while seeds.len() < opts.per_target {

@@ -626,7 +626,7 @@ fn run_simd_diff(input: &[u8]) -> Outcome {
     for (slot, &v) in b.iter_mut().zip(input) {
         *slot = v;
     }
-    let seed = crate::fnv1a(input);
+    let seed = sfn_rng::fnv1a(input);
     let mut rng = StdRng::seed_from_u64(seed);
 
     const MAX_ULP: u64 = 4;
@@ -813,7 +813,7 @@ fn ulp_distance_f64(a: f64, b: f64) -> u64 {
 /// `gen-corpus`).
 pub fn seed_pool(target: &Target, seed: u64) -> Vec<Vec<u8>> {
     use sfn_rng::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(seed ^ crate::fnv1a(target.name.as_bytes()));
+    let mut rng = StdRng::seed_from_u64(seed ^ sfn_rng::fnv1a(target.name.as_bytes()));
     (target.seeds)(&mut rng)
 }
 

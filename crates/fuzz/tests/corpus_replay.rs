@@ -68,7 +68,7 @@ fn regression_entries_are_committed_and_still_rejected() {
 #[test]
 fn smoke_fuzz_every_target_is_clean() {
     quiet();
-    let iterations = if std::env::var("SFN_QUICK").is_ok() { 150 } else { 500 };
+    let iterations = if std::env::var("SFN_QUICK").is_ok_and(|v| v == "1") { 150 } else { 500 };
     let root = corpus::default_corpus_root();
     for target in targets::all() {
         let entries: Vec<Vec<u8>> = corpus::load_entries(&root, target.name)

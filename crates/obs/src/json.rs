@@ -526,9 +526,10 @@ impl std::error::Error for JsonError {}
 pub const MAX_DEPTH: usize = 128;
 
 /// Largest input [`parse`] accepts, in bytes. The biggest legitimate
-/// document the pipeline reads is an offline-artifact cache (a few MB
-/// of weights); the cap stops a forged multi-GB file from being
-/// buffered into `Value` trees before any schema check can run.
+/// document the pipeline reads is an offline-artifact cache (the
+/// default roster's is 16.4 MB, almost all of it weights); the cap
+/// stops a forged multi-GB file from being buffered into `Value` trees
+/// before any schema check can run.
 pub const MAX_INPUT_LEN: usize = 64 << 20;
 
 /// Parses one complete JSON value; trailing non-whitespace is an error.
@@ -547,17 +548,19 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
             ),
         });
     }
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { src: input, pos: 0, depth: 0 };
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after the value"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The input as text, so string runs and numbers are sliced out
+    /// without re-validating UTF-8.
+    src: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -578,7 +581,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -597,7 +600,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -726,22 +729,22 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Copy the full UTF-8 scalar starting here. `rest`
-                    // is non-empty (peek succeeded), so a valid slice
-                    // always yields a char — but this is an untrusted-
-                    // input path, so fail closed rather than unwrap.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = text
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    if ch.is_control() {
+                    // Copy the run of unescaped text up to the next `"`
+                    // or `\` in one go. Both are ASCII, so the run ends
+                    // on a char boundary of the (valid UTF-8) input and
+                    // the slice needs no re-validation.
+                    let start = self.pos;
+                    let len = self.src.as_bytes()[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.src.len() - start);
+                    let run = &self.src[start..start + len];
+                    if let Some((at, _)) = run.char_indices().find(|(_, c)| c.is_control()) {
+                        self.pos = start + at;
                         return Err(self.err("raw control character in string"));
                     }
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    s.push_str(run);
+                    self.pos = start + len;
                 }
                 None => return Err(self.err("unterminated string")),
             }
@@ -772,10 +775,9 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        // Every byte the loop above accepts is ASCII, so this slice is
-        // valid UTF-8 by construction — but fail closed, not unwrap.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError { at: start, message: "invalid UTF-8 in number".into() })?;
+        // Every byte the loop above accepts is ASCII, so the slice ends
+        // on a char boundary.
+        let text = &self.src[start..self.pos];
         match text.parse::<f64>() {
             // JSON has no Infinity; overflowing literals like 1e400 are
             // rejected rather than silently saturated.
@@ -840,6 +842,83 @@ mod tests {
         assert_eq!(v.as_str(), Some("Aé😀"));
         assert!(parse(r#""\ud83d""#).is_err(), "lone high surrogate");
         assert!(parse(r#""\u12"#).is_err(), "truncated escape");
+    }
+
+    #[test]
+    fn multi_byte_runs_copy_whole() {
+        // 1-, 2-, 3- and 4-byte scalars in one run, and as the only
+        // content of a key and a value.
+        let text = "aé€😀z";
+        assert_eq!(parse(&format!("\"{text}\"")).unwrap().as_str(), Some(text));
+        let v = parse(r#"{"é":"€","😀":"x"}"#).unwrap();
+        assert_eq!(v.get("é").and_then(Value::as_str), Some("€"));
+        assert_eq!(v.get("😀").and_then(Value::as_str), Some("x"));
+        assert_eq!(parse(r#""""#).unwrap().as_str(), Some(""));
+    }
+
+    #[test]
+    fn runs_interleave_with_escapes() {
+        let v = parse(r#""ab\ncd\"é€\u00e9ø\ud83d\ude00😀\\""#).unwrap();
+        assert_eq!(v.as_str(), Some("ab\ncd\"é€éø😀😀\\"));
+        // Escapes back to back and at both ends of the string.
+        let v = parse(r#""\n\"x\u00e9""#).unwrap();
+        assert_eq!(v.as_str(), Some("\n\"xé"));
+    }
+
+    #[test]
+    fn raw_control_characters_are_rejected_at_their_offset() {
+        // C0 controls, DEL (0x7F) and the C1 control U+0085 (2 bytes),
+        // after runs of 1- and 2-byte characters.
+        for (input, at) in [
+            ("\"\u{1}\"", 1),
+            ("\"ab\u{1}cd\"", 3),
+            ("\"aé\u{7f}\"", 4),
+            ("\"x\\n\u{85}\"", 4),
+            ("{\"k\u{1f}\":1}", 3),
+        ] {
+            let e = parse(input).unwrap_err();
+            assert_eq!(e.message, "raw control character in string", "{input:?}");
+            assert_eq!(e.at, at, "{input:?}");
+        }
+    }
+
+    #[test]
+    fn unterminated_string_after_a_long_run() {
+        let input = format!("\"{}", "é".repeat(10_000));
+        let e = parse(&input).unwrap_err();
+        assert_eq!(e.message, "unterminated string");
+        assert_eq!(e.at, input.len());
+        let e = parse("[\"abc\\").unwrap_err();
+        assert_eq!(e.message, "unterminated escape");
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_the_input() {
+        // A quadratic string scan takes minutes on either document; a
+        // linear one takes milliseconds, even in a debug build.
+        let long = format!("\"{}\"", "abcdé".repeat(700_000));
+        assert!(long.len() > 4_000_000);
+        let mut doc = String::from("{");
+        for i in 0..10_000 {
+            if i > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!(
+                "\"weights_{i:05}\":{{\"name\":\"layer {i}\",\"w\":[0.5,-1.25]}}"
+            ));
+        }
+        doc.push('}');
+        for input in [&long, &doc] {
+            let start = std::time::Instant::now();
+            let v = parse(input).unwrap();
+            let took = start.elapsed();
+            assert!(
+                took < std::time::Duration::from_secs(5),
+                "{} bytes took {took:?}",
+                input.len()
+            );
+            assert_eq!(v.to_json(), *input);
+        }
     }
 
     #[test]

@@ -36,14 +36,28 @@ pub mod seq {
     pub use crate::SliceRandom;
 }
 
-/// SplitMix64 step: advances `state` and returns the next output.
-/// Used only to expand a 64-bit seed into the xoshiro state.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The SplitMix64 increment (2⁶⁴ / φ).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 finaliser: the output SplitMix64 yields from `state`, as
+/// a pure function — a strong 64-bit mixer for counter-based hashing.
+pub fn splitmix64(state: u64) -> u64 {
+    let mut z = state.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// 64-bit FNV-1a over a byte string: the workspace's one checksum and
+/// content-addressing hash (model and checkpoint files, cache keys,
+/// fuzz corpus names, fault-site folding). Not cryptographic.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
 
 /// xoshiro256++ — the workspace's standard generator.
@@ -67,12 +81,13 @@ impl SeedableRng for StdRng {
         let mut st = seed;
         let mut s = [0u64; 4];
         for word in &mut s {
-            *word = splitmix64(&mut st);
+            *word = splitmix64(st);
+            st = st.wrapping_add(GOLDEN_GAMMA);
         }
         // SplitMix64 never yields four zero words from any seed, but
         // guard the all-zero fixed point anyway.
         if s == [0; 4] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
+            s[0] = GOLDEN_GAMMA;
         }
         StdRng { s }
     }
@@ -252,6 +267,17 @@ mod tests {
                 211316841551650330
             ]
         );
+    }
+
+    // Published reference values: FNV-1a 64 test vectors and the first
+    // SplitMix64 output from state 0. Model and checkpoint checksums,
+    // cache keys and fuzz corpus names are all this hash.
+    #[test]
+    fn golden_hashes() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
     }
 
     #[test]

@@ -30,15 +30,16 @@ def main():
     run = open(sys.argv[1]).read()
     exp = open("EXPERIMENTS.md").read()
 
-    # Table 1.
+    # Table 1. Each `…Q` token extends its exec-time token, so replace
+    # the longer one first.
     t1 = table_rows(section(run, "Table 1"))
     for row in t1:
         if row and row[0] == "PCG":
             exp = exp.replace("FILL_T1_PCG", row[1])
         elif row and row[0] == "Tompson":
-            exp = exp.replace("FILL_T1_TOM", row[1]).replace("FILL_T1_TOMQ", row[2])
+            exp = exp.replace("FILL_T1_TOMQ", row[2]).replace("FILL_T1_TOM", row[1])
         elif row and row[0] == "Yang":
-            exp = exp.replace("FILL_T1_YANG", row[1]).replace("FILL_T1_YANGQ", row[2])
+            exp = exp.replace("FILL_T1_YANGQ", row[2]).replace("FILL_T1_YANG", row[1])
 
     # Figure 3 counts.
     f3 = section(run, "Figure 3")
