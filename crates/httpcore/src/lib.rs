@@ -1,14 +1,19 @@
-//! Shared, allocation-bounded HTTP/1.1 request parsing for the
-//! workspace's hand-rolled `std::net` servers (`sfn-metrics` and
-//! `sfn-serve`).
+//! The HTTP/1.1 layer shared by the workspace's hand-rolled `std::net`
+//! servers (`sfn-metrics` and `sfn-serve`): allocation-bounded request
+//! parsing, response writing, and the bounded accept loop.
 //!
 //! Security posture: every byte off the socket is hostile.
 //! [`parse_request`] is the single entry point for raw request heads —
-//! strict, allocation-bounded, and fuzzed as the `http` target.
-//! Servers layer their own connection caps, read deadlines and
-//! `Connection: close` semantics on top; this crate owns only the
-//! pure byte-level contract so both servers (and the fuzzer) agree on
-//! exactly what parses.
+//! strict, allocation-bounded, and fuzzed as the `http` target — so
+//! both servers (and the fuzzer) agree on exactly what parses.
+//! [`accept_loop`] caps concurrent connections and answers the excess
+//! inline instead of queueing it. Servers layer their own refusal
+//! response, read deadlines and `Connection: close` semantics on top.
+
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Hard cap on the bytes of one request head (request line + headers
 /// + terminator). Larger requests are rejected before parsing.
@@ -291,6 +296,56 @@ pub fn write_response(
     let _ = stream.flush();
 }
 
+/// Accepts connections on the non-blocking `listener` until `stop` is
+/// set. Each connection runs `handle` on its own thread named
+/// `conn_thread`, at most `max_conns` at a time; past that cap `refuse`
+/// answers the connection inline and it is closed, never queued. The
+/// loop polls an idle listener every 20 ms and backs off 100 ms after a
+/// failed accept.
+pub fn accept_loop<H, R>(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    max_conns: usize,
+    conn_thread: &str,
+    handle: H,
+    mut refuse: R,
+) where
+    H: Fn(TcpStream) + Send + Sync + 'static,
+    R: FnMut(TcpStream),
+{
+    let handle = Arc::new(handle);
+    let active = Arc::new(AtomicUsize::new(0));
+    loop {
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                if active.load(Ordering::Relaxed) >= max_conns {
+                    refuse(stream);
+                    continue;
+                }
+                active.fetch_add(1, Ordering::Relaxed);
+                let handle = Arc::clone(&handle);
+                let conn_active = Arc::clone(&active);
+                let spawned = std::thread::Builder::new().name(conn_thread.into()).spawn(
+                    move || {
+                        handle(stream);
+                        conn_active.fetch_sub(1, Ordering::Relaxed);
+                    },
+                );
+                if spawned.is_err() {
+                    active.fetch_sub(1, Ordering::Relaxed);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(100)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,5 +442,42 @@ mod tests {
         let long_target = [b"GET /".to_vec(), vec![b'a'; MAX_TARGET_BYTES], b" HTTP/1.1\r\n\r\n".to_vec()]
             .concat();
         assert!(matches!(parse_request(&long_target), Err(RequestError::Malformed(_))));
+    }
+
+    #[test]
+    fn accept_loop_refuses_past_the_cap_and_stops() {
+        use std::sync::mpsc;
+        use std::sync::Mutex;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        // The one admitted connection holds its slot until released.
+        let (release, held) = mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        let (named, thread_name) = mpsc::channel();
+        let (refused, refusals) = mpsc::channel();
+        let loop_stop = Arc::clone(&stop);
+        let acceptor = std::thread::spawn(move || {
+            accept_loop(
+                &listener,
+                &loop_stop,
+                1,
+                "test-conn",
+                move |_stream| {
+                    named.send(std::thread::current().name().map(String::from)).unwrap();
+                    let _ = held.lock().unwrap().recv();
+                },
+                move |_stream| refused.send(()).unwrap(),
+            )
+        });
+        let wait = Duration::from_secs(10);
+        let _first = TcpStream::connect(addr).unwrap();
+        assert_eq!(thread_name.recv_timeout(wait).unwrap().as_deref(), Some("test-conn"));
+        let _second = TcpStream::connect(addr).unwrap();
+        refusals.recv_timeout(wait).expect("the connection over the cap is refused");
+        release.send(()).unwrap();
+        stop.store(true, Ordering::Relaxed);
+        acceptor.join().unwrap();
     }
 }

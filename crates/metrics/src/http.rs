@@ -15,7 +15,7 @@ use crate::hub::Hub;
 use crate::{expo, snapshot};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -69,52 +69,25 @@ pub fn serve(hub: Arc<Hub>, addr: &str) -> std::io::Result<ServerHandle> {
         })?;
 
     let accept_stop = Arc::clone(&shutdown);
-    let active = Arc::new(AtomicUsize::new(0));
     let max_conns = hub.config().max_connections.max(1);
     std::thread::Builder::new()
         .name("sfn-metrics-http".into())
-        .spawn(move || loop {
-            if accept_stop.load(Ordering::Relaxed) {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if active.load(Ordering::Relaxed) >= max_conns {
-                        sfn_obs::counter_add("metrics.http.rejected", 1);
-                        respond_overloaded(stream);
-                        continue;
-                    }
-                    active.fetch_add(1, Ordering::Relaxed);
-                    let hub = Arc::clone(&hub);
-                    let conn_active = Arc::clone(&active);
-                    let spawned = std::thread::Builder::new()
-                        .name("sfn-metrics-conn".into())
-                        .spawn(move || {
-                            handle_connection(&hub, stream);
-                            conn_active.fetch_sub(1, Ordering::Relaxed);
-                        });
-                    if spawned.is_err() {
-                        active.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(100)),
-            }
+        .spawn(move || {
+            sfn_httpcore::accept_loop(
+                &listener,
+                &accept_stop,
+                max_conns,
+                "sfn-metrics-conn",
+                move |stream| handle_connection(&hub, stream),
+                |mut stream| {
+                    sfn_obs::counter_add("metrics.http.rejected", 1);
+                    let plain = "text/plain; charset=utf-8";
+                    sfn_httpcore::write_response(&mut stream, 503, plain, &[], b"overload\n");
+                },
+            )
         })?;
 
     Ok(ServerHandle { addr, shutdown })
-}
-
-fn respond_overloaded(mut stream: TcpStream) {
-    sfn_httpcore::write_response(
-        &mut stream,
-        503,
-        "text/plain; charset=utf-8",
-        &[],
-        b"overload\n",
-    );
 }
 
 fn handle_connection(hub: &Hub, mut stream: TcpStream) {

@@ -20,6 +20,12 @@
 //!   to the exact PCG projector from the checkpoint onward — a
 //!   guaranteed-terminal path: no further model can corrupt the state.
 //!
+//! The run loop is built from shared pieces: [`decide`], the one copy of
+//! the Algorithm 2 rule (`sfn-trace audit` replays it too); `Stepper`,
+//! whose `step` every path runs and whose `pcg_tail` finishes both the
+//! restart and the degrade; and `LoopState`, the state a durable
+//! checkpoint persists and a resume restores.
+//!
 //! Termination: every loop iteration either advances the step counter
 //! or records a strike; strikes are bounded by `MAX_STRIKES` per model,
 //! and once all models are barred the degraded tail is a straight loop.
@@ -35,7 +41,7 @@ use sfn_nn::network::SavedModel;
 use sfn_nn::Network;
 use sfn_obs::json::{obj, FromJson, JsonError, ToJson, Value};
 use sfn_obs::{Level, ScopedTimer};
-use sfn_sim::{ExactProjector, Simulation};
+use sfn_sim::{ExactProjector, PressureProjector, Simulation, StepStats};
 use sfn_solver::{MicPreconditioner, PcgSolver};
 use sfn_surrogate::NeuralProjector;
 
@@ -163,25 +169,53 @@ impl Truncation {
 }
 
 /// The Algorithm 2 line 8-16 verdict at one check interval, carrying
-/// the switch target with it so acting on the decision can never
+/// the switch target `T` with it so acting on the decision can never
 /// dereference an empty candidate neighbourhood (the verdict is typed,
-/// not a string to re-interpret).
+/// not a string to re-interpret). The runtime's targets are candidate
+/// indices; `sfn-trace audit`'s are the model names a trace records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Action {
-    /// Escalate to the (available) candidate at this index.
-    SwitchUp(usize),
-    /// Relax to the (available) candidate at this index.
-    SwitchDown(usize),
+pub enum Action<T> {
+    /// Escalate to this (available) more accurate candidate.
+    SwitchUp(T),
+    /// Relax to this (available) faster candidate.
+    SwitchDown(T),
     /// No available candidate can meet the target: restart on PCG.
     Restart,
     /// Prediction inside the band (or nowhere better to go).
     Keep,
 }
 
-impl Action {
+/// Algorithm 2's decision rule — the one copy the runtime and the
+/// trace audit both run.
+///
+/// `up` and `down` are the nearest *available* candidates above and
+/// below the running model (quarantine already applied), `None` when
+/// there is none. A prediction above `band_hi` escalates, or restarts
+/// on PCG when nothing is above (line 16). One below `band_lo` relaxes
+/// to a faster model when MLP guidance is on and one is available.
+/// Everything else, the band's closed boundaries included, keeps the
+/// current model.
+pub fn decide<T>(
+    predicted_loss: f64,
+    band_lo: f64,
+    band_hi: f64,
+    use_mlp: bool,
+    up: Option<T>,
+    down: Option<T>,
+) -> Action<T> {
+    if predicted_loss > band_hi {
+        up.map_or(Action::Restart, Action::SwitchUp)
+    } else if predicted_loss < band_lo && use_mlp {
+        down.map_or(Action::Keep, Action::SwitchDown)
+    } else {
+        Action::Keep
+    }
+}
+
+impl<T> Action<T> {
     /// Stable label for `scheduler.decision` events (the audit replay
     /// contract).
-    fn as_str(&self) -> &'static str {
+    pub fn as_str(&self) -> &'static str {
         match self {
             Action::SwitchUp(_) => "switch_up",
             Action::SwitchDown(_) => "switch_down",
@@ -497,15 +531,6 @@ impl SmartRuntime {
         })
     }
 
-    /// Builds a runtime over the candidate set.
-    ///
-    /// # Panics
-    /// Panics where [`SmartRuntime::try_new`] would return an error:
-    /// no loadable candidate, or an invalid configuration.
-    pub fn new(candidates: Vec<CandidateModel>, knn: KnnDatabase, config: RuntimeConfig) -> Self {
-        Self::try_new(candidates, knn, config).expect("runtime construction failed")
-    }
-
     /// The candidates in scheduler (accuracy) order.
     pub fn candidates(&self) -> &[CandidateModel] {
         &self.candidates
@@ -542,19 +567,14 @@ impl SmartRuntime {
     }
 
     /// Attempts to resume scheduler state from `ckpt`'s newest valid
-    /// durable checkpoint. Returns the resume step, or `None` when
+    /// durable checkpoint, restoring `sim` from it. Returns `None` when
     /// there is nothing (valid) to resume from.
-    #[allow(clippy::too_many_arguments)]
     fn try_resume(
         &self,
         ckpt: &mut DurableCheckpointer,
         roster: &[String],
         sim: &mut Simulation,
-        tracker: &mut CumDivNormTracker,
-        quarantine: &mut QuarantineTable,
-        current: &mut usize,
-        rollbacks: &mut usize,
-    ) -> Option<usize> {
+    ) -> Option<LoopState> {
         let recovery = match ckpt.recover() {
             Ok(Some(r)) => r,
             Ok(None) => return None,
@@ -583,17 +603,20 @@ impl SmartRuntime {
                 .emit();
             return None;
         }
-        *tracker = persist::tracker_from_state(&doc.tracker);
-        *quarantine = persist::quarantine_from_state(&sched.quarantine);
-        *current = sched.current as usize;
-        *rollbacks = sched.rollbacks as usize;
+        let state = LoopState {
+            tracker: persist::tracker_from_state(&doc.tracker),
+            quarantine: persist::quarantine_from_state(&sched.quarantine),
+            current: sched.current as usize,
+            rollbacks: sched.rollbacks as usize,
+            step: doc.step as usize,
+        };
         sfn_obs::event(Level::Info, "runtime.resume")
             .field_u64("step", doc.step)
-            .field_str("model", &roster[*current])
+            .field_str("model", &roster[state.current])
             .field_u64("skipped", recovery.rejected.len() as u64)
             .field_str("path", &recovery.path.display().to_string())
             .emit();
-        Some(doc.step as usize)
+        Some(state)
     }
 
     /// Runs one simulation under the scheduler with optional durable
@@ -616,7 +639,7 @@ impl SmartRuntime {
     fn run_inner(
         &mut self,
         mut sim: Simulation,
-        ckpt: Option<&mut DurableCheckpointer>,
+        mut durable: Option<&mut DurableCheckpointer>,
         limits: RunLimits,
     ) -> (RunOutcome, Simulation) {
         let cfg = self.config;
@@ -626,95 +649,61 @@ impl SmartRuntime {
         // + collector stay alive for the process lifetime).
         let _metrics = sfn_metrics::serve_from_env();
         let timer = ScopedTimer::start("runtime/run");
-        let mut tracker = CumDivNormTracker::new();
         let mut events = Vec::new();
         let mut time_per_model = vec![0.0; n_models];
         let mut steps_per_model = vec![0usize; n_models];
         let mut predictions = Vec::new();
-        let mut current = self.start_index();
         let fresh_sim = sim.clone();
         let mut restarted = false;
         let mut degraded = false;
-        let mut rollbacks = 0usize;
-        let mut quarantine = QuarantineTable::new(n_models);
         let roster: Vec<String> = self.candidates.iter().map(|c| c.name.clone()).collect();
 
-        let mut durable = ckpt;
-        let mut step = 0usize;
-        let mut resumed_from = None;
-        if let Some(d) = durable.as_deref_mut() {
-            resumed_from = self.try_resume(
-                d,
-                &roster,
-                &mut sim,
-                &mut tracker,
-                &mut quarantine,
-                &mut current,
-                &mut rollbacks,
-            );
-            step = resumed_from.unwrap_or(0);
-        }
-
-        // DivNorm (Eq. 5) is an un-normalised sum over cells; dividing
-        // by the cell count makes the KNN database — built offline on
-        // *small* problems (§6.1) — transfer across grid sizes.
-        let inv_cells = 1.0 / (sim.flags().nx() * sim.flags().ny()) as f64;
+        let resumed = durable.as_deref_mut().and_then(|d| self.try_resume(d, &roster, &mut sim));
+        let resumed_from = resumed.as_ref().map(|st| st.step);
+        let mut st = resumed.unwrap_or_else(|| LoopState {
+            tracker: CumDivNormTracker::new(),
+            quarantine: QuarantineTable::new(n_models),
+            current: self.start_index(),
+            rollbacks: 0,
+            step: 0,
+        });
+        let mut run = Stepper {
+            inv_cells: 1.0 / (sim.flags().nx() * sim.flags().ny()) as f64,
+            limits,
+            executed: 0,
+            truncation: None,
+        };
 
         // The rollback anchor: the newest known-healthy state, refreshed
         // at every healthy check interval. Quarantine time is measured
         // in check-interval indices derived from the step counter, so a
         // rollback rewinds the backoff clock too.
-        let mut checkpoint = (sim.snapshot(), tracker.clone(), step);
+        let mut checkpoint = (sim.snapshot(), st.tracker.clone(), st.step);
 
-        // Executed-step counter for `RunLimits::max_steps`: unlike
-        // `step` it never rewinds on rollback, so a corruption storm
-        // cannot stretch a bounded run past its work budget.
-        let mut executed = 0usize;
-        let mut truncation: Option<Truncation> = None;
-
-        while step < cfg.total_steps {
+        while st.step < cfg.total_steps {
             // Bound check first: `sim` here is always the newest healthy
             // state (the corruption guard restores before looping), so a
             // shed result is degraded-but-valid, never NaN soup.
-            if let Some(t) = limits.exceeded(step, executed) {
-                emit_shed(&t, executed);
-                truncation = Some(t);
+            if run.shed(st.step) {
                 break;
             }
-            // Per-step timeline record (Trace level): the raw material
-            // for `sfn-trace analyze` / `export` — timing is only taken
-            // when something would record the event.
-            let step_t0 = (sfn_obs::event_enabled(Level::Trace) || sfn_metrics::live())
-                .then(std::time::Instant::now);
-            let stats = sim.step(&mut self.projectors[current]);
-            let div_norm = stats.div_norm * inv_cells;
-            tracker.push(div_norm);
-            sfn_obs::histogram_record("runtime.div_norm", div_norm);
-            time_per_model[current] += stats.projection_time.as_secs_f64();
-            steps_per_model[current] += 1;
-            step += 1;
-            executed += 1;
-            if let Some(t0) = step_t0 {
-                let secs = t0.elapsed().as_secs_f64();
-                sfn_metrics::record_step(&self.candidates[current].name, secs);
-                sfn_obs::event(Level::Trace, "runtime.step")
-                    .field_u64("step", step as u64)
-                    .field_str("model", &self.candidates[current].name)
-                    .field_f64("secs", secs)
-                    .field_f64("proj_secs", stats.projection_time.as_secs_f64())
-                    .field_f64("div_norm", div_norm)
-                    .emit();
-            }
+            let model = &self.candidates[st.current].name;
+            let proj = &mut self.projectors[st.current];
+            let stats = run.step(&mut sim, proj, &mut st.tracker, model, st.step + 1);
+            sfn_obs::histogram_record("runtime.div_norm", stats.div_norm * run.inv_cells);
+            time_per_model[st.current] += stats.projection_time.as_secs_f64();
+            steps_per_model[st.current] += 1;
+            st.step += 1;
             // Crash-harness boundary: a scheduled `crash` fault SIGKILLs
             // the process here, mid-run between durable checkpoints.
-            sfn_faults::crash_point("runtime/mid_step", step as u64);
+            sfn_faults::crash_point("runtime/mid_step", st.step as u64);
 
             // Corruption guard: a surrogate that produced NaNs or blew
             // the simulation up is struck and the state rolled back.
             if !sim.is_healthy() || !stats.div_norm.is_finite() {
-                let corrupt_step = step;
-                let interval_now = (step / cfg.check_interval) as u64;
-                let decision = quarantine.strike(current, interval_now);
+                let corrupt_step = st.step;
+                let interval_now = (st.step / cfg.check_interval) as u64;
+                let decision = st.quarantine.strike(st.current, interval_now);
                 let (strikes, until_interval) = match decision {
                     QuarantineDecision::Quarantined { strikes, until_interval } => {
                         (strikes, Some(until_interval))
@@ -724,13 +713,13 @@ impl SmartRuntime {
                 sfn_obs::counter_add("runtime.quarantines", 1);
                 sfn_obs::event(Level::Warn, "runtime.quarantine")
                     .field_u64("step", corrupt_step as u64)
-                    .field_str("model", &self.candidates[current].name)
+                    .field_str("model", &self.candidates[st.current].name)
                     .field_u64("strikes", u64::from(strikes))
                     .field_bool("ejected", until_interval.is_none())
                     .emit();
                 events.push(SchedulerEvent::Quarantine {
                     step: corrupt_step,
-                    model: self.candidates[current].name.clone(),
+                    model: self.candidates[st.current].name.clone(),
                     strikes,
                     until_interval,
                 });
@@ -740,42 +729,42 @@ impl SmartRuntime {
                 // geometry always matches.
                 sim.restore(&checkpoint.0)
                     .expect("rollback anchor geometry matches the live simulation");
-                tracker = checkpoint.1.clone();
-                step = checkpoint.2;
-                rollbacks += 1;
+                st.tracker = checkpoint.1.clone();
+                st.step = checkpoint.2;
+                st.rollbacks += 1;
                 sfn_obs::counter_add("runtime.rollbacks", 1);
 
-                let rewound = (step / cfg.check_interval) as u64;
-                match quarantine.next_available(current, rewound) {
+                let rewound = (st.step / cfg.check_interval) as u64;
+                match st.quarantine.next_available(st.current, rewound) {
                     Some(next) => {
                         sfn_obs::counter_add("runtime.recoveries", 1);
                         sfn_obs::event(Level::Warn, "runtime.rollback")
                             .field_u64("from_step", corrupt_step as u64)
-                            .field_u64("to_step", step as u64)
-                            .field_str("from", &self.candidates[current].name)
+                            .field_u64("to_step", st.step as u64)
+                            .field_str("from", &self.candidates[st.current].name)
                             .field_str("to", &self.candidates[next].name)
                             .emit();
                         events.push(SchedulerEvent::Rollback {
                             step: corrupt_step,
-                            to_step: step,
-                            from: self.candidates[current].name.clone(),
+                            to_step: st.step,
+                            from: self.candidates[st.current].name.clone(),
                             to: self.candidates[next].name.clone(),
                         });
-                        current = next;
+                        st.current = next;
                     }
                     None => {
                         // Every candidate is barred: degrade to PCG for
                         // the rest of the run (terminal — the exact
                         // solver cannot be quarantined).
                         degraded = true;
-                        let barred = quarantine.unavailable(rewound).len();
+                        let barred = st.quarantine.unavailable(rewound).len();
                         sfn_obs::counter_add("runtime.degraded", 1);
                         sfn_obs::event(Level::Error, "runtime.degraded")
-                            .field_u64("step", step as u64)
+                            .field_u64("step", st.step as u64)
                             .field_u64("barred", barred as u64)
                             .field_str("fallback", "pcg")
                             .emit();
-                        events.push(SchedulerEvent::Degrade { step, barred });
+                        events.push(SchedulerEvent::Degrade { step: st.step, barred });
                         break;
                     }
                 }
@@ -783,32 +772,32 @@ impl SmartRuntime {
             }
 
             let at_checkpoint =
-                step.is_multiple_of(cfg.check_interval) && step < cfg.total_steps;
+                st.step.is_multiple_of(cfg.check_interval) && st.step < cfg.total_steps;
             if !at_checkpoint {
                 continue;
             }
             // Healthy check interval: refresh the rollback anchor even
             // when the static policy skips the quality check.
-            checkpoint = (sim.snapshot(), tracker.clone(), step);
+            checkpoint = (sim.snapshot(), st.tracker.clone(), st.step);
             // ...and persist it when the durable cadence is due. The
             // snapshot was just taken, so the checkpoint document is
             // exactly the in-RAM anchor.
             if let Some(d) = durable.as_deref_mut() {
-                if d.due(step as u64) {
+                if d.due(st.step as u64) {
                     let doc = CheckpointDoc {
-                        step: step as u64,
+                        step: st.step as u64,
                         snapshot: checkpoint.0.clone(),
-                        tracker: persist::tracker_state(&tracker),
+                        tracker: persist::tracker_state(&st.tracker),
                         scheduler: Some(SchedulerState {
-                            current: current as u32,
+                            current: st.current as u32,
                             model_names: roster.clone(),
-                            quarantine: persist::quarantine_state(&quarantine),
-                            rollbacks: rollbacks as u64,
+                            quarantine: persist::quarantine_state(&st.quarantine),
+                            rollbacks: st.rollbacks as u64,
                         }),
                     };
                     if let Err(e) = d.write(&doc) {
                         sfn_obs::event(Level::Warn, "ckpt.write_failed")
-                            .field_u64("step", step as u64)
+                            .field_u64("step", st.step as u64)
                             .field_str("error", &e.to_string())
                             .emit();
                     }
@@ -818,45 +807,34 @@ impl SmartRuntime {
                 continue;
             }
 
-            let cdn_pred = match tracker.predict_final(cfg.check_interval, cfg.total_steps) {
+            let cdn_pred = match st.tracker.predict_final(cfg.check_interval, cfg.total_steps) {
                 Some(cdn) => cdn,
                 // Warm-up or degenerate history: keep the current model.
                 None => continue,
             };
             let predicted_loss = self.knn.predict(cdn_pred);
-            predictions.push((step, predicted_loss));
+            predictions.push((st.step, predicted_loss));
 
             let hi = cfg.quality_target * (1.0 + cfg.tolerance);
             let lo = cfg.quality_target * (1.0 - cfg.tolerance);
-            let interval_now = (step / cfg.check_interval) as u64;
+            let interval_now = (st.step / cfg.check_interval) as u64;
             // Switch targets honour the quarantine table: escalation
             // picks the nearest available model above, relaxation the
             // nearest available below.
-            let up = (current + 1..n_models).find(|&m| quarantine.is_available(m, interval_now));
-            let down = (0..current).rev().find(|&m| quarantine.is_available(m, interval_now));
+            let available = |m: &usize| st.quarantine.is_available(*m, interval_now);
+            let up = (st.current + 1..n_models).find(available);
+            let down = (0..st.current).rev().find(available);
             // Decide first, mutate after: the whole Algorithm 2 check is
             // reported as exactly one structured event either way.
-            let action = if predicted_loss > hi {
-                match up {
-                    Some(to) => Action::SwitchUp(to),
-                    None => Action::Restart, // Algorithm 2 line 16: fall back to PCG.
-                }
-            } else if predicted_loss < lo && cfg.use_mlp {
-                // Comfortable slack: move to a faster model — unless
-                // quarantine emptied the neighbourhood below, in which
-                // case there is nowhere to relax to and we keep.
-                down.map_or(Action::Keep, Action::SwitchDown)
-            } else {
-                Action::Keep
-            };
+            let action = decide(predicted_loss, lo, hi, cfg.use_mlp, up, down);
             sfn_obs::counter_add("scheduler.checks", 1);
             // The decision record carries everything `sfn-trace audit`
-            // needs to replay Algorithm 2 offline: the prediction, the
+            // needs to replay `decide` offline: the prediction, the
             // band, the candidate neighbourhood and the quarantine
             // state that shaped the switch targets.
             sfn_obs::event(Level::Info, "scheduler.decision")
-                .field_u64("step", step as u64)
-                .field_str("model", &self.candidates[current].name)
+                .field_u64("step", st.step as u64)
+                .field_str("model", &self.candidates[st.current].name)
                 .field_f64("predicted_loss", predicted_loss)
                 .field_f64("cdn_pred", cdn_pred)
                 .field_f64("target", cfg.quality_target)
@@ -865,124 +843,65 @@ impl SmartRuntime {
                 .field_bool("mlp", cfg.use_mlp)
                 .field_str("up", up.map_or("none", |m| self.candidates[m].name.as_str()))
                 .field_str("down", down.map_or("none", |m| self.candidates[m].name.as_str()))
-                .field_u64("barred", quarantine.unavailable(interval_now).len() as u64)
-                .field_u64("rank", current as u64)
+                .field_u64("barred", st.quarantine.unavailable(interval_now).len() as u64)
+                .field_u64("rank", st.current as u64)
                 .field_u64("candidates", n_models as u64)
                 .field_str("action", action.as_str())
                 .emit();
             match action {
                 // The switch target rides inside the verdict, so a
                 // depleted neighbourhood can no longer panic here: it
-                // was already folded into Restart/Keep above.
+                // was already folded into Restart/Keep by `decide`.
                 Action::SwitchUp(to) | Action::SwitchDown(to) => {
                     sfn_obs::counter_add("scheduler.switches", 1);
                     events.push(SchedulerEvent::Switch {
-                        step,
-                        from: self.candidates[current].name.clone(),
+                        step: st.step,
+                        from: self.candidates[st.current].name.clone(),
                         to: self.candidates[to].name.clone(),
                         predicted_loss,
                     });
-                    current = to;
+                    st.current = to;
                 }
                 Action::Restart => {
                     sfn_obs::counter_add("scheduler.restarts", 1);
                     events.push(SchedulerEvent::Restart {
-                        step,
+                        step: st.step,
                         predicted_loss,
                     });
                     restarted = true;
+                    break;
                 }
                 Action::Keep => {}
-            }
-            if restarted {
-                break;
             }
         }
 
         let mut restart_time = 0.0;
-        if degraded {
-            // Graceful degradation: finish on the exact solver from the
-            // restored checkpoint. A straight loop — no checks, no
-            // models, nothing left to quarantine.
-            let _span = sfn_obs::span!("runtime/degraded");
-            let mut pcg = ExactProjector::labelled(
-                PcgSolver::new(MicPreconditioner::default(), 1e-7, 200_000),
-                "pcg-degraded",
-            );
-            while step < cfg.total_steps {
-                if let Some(t) = limits.exceeded(step, executed) {
-                    emit_shed(&t, executed);
-                    truncation = Some(t);
-                    break;
-                }
-                let step_t0 = (sfn_obs::event_enabled(Level::Trace) || sfn_metrics::live())
-                    .then(std::time::Instant::now);
-                let s = sim.step(&mut pcg);
-                tracker.push(s.div_norm * inv_cells);
-                restart_time += s.projection_time.as_secs_f64();
-                step += 1;
-                executed += 1;
-                if let Some(t0) = step_t0 {
-                    let secs = t0.elapsed().as_secs_f64();
-                    sfn_metrics::record_step("pcg-degraded", secs);
-                    sfn_obs::event(Level::Trace, "runtime.step")
-                        .field_u64("step", step as u64)
-                        .field_str("model", "pcg-degraded")
-                        .field_f64("secs", secs)
-                        .field_f64("proj_secs", s.projection_time.as_secs_f64())
-                        .field_f64("div_norm", s.div_norm * inv_cells)
-                        .emit();
-                }
-            }
+        if restarted || degraded {
+            // Algorithm 2's restart reruns the whole simulation on PCG
+            // from step 0; the degrade finishes from the restored
+            // checkpoint on the continuing tracker.
+            let (span, label) = if restarted {
+                sim = fresh_sim;
+                st.tracker = CumDivNormTracker::new();
+                st.step = 0;
+                ("runtime/restart", "pcg")
+            } else {
+                ("runtime/degraded", "pcg-degraded")
+            };
+            let _span = sfn_obs::span!(span);
+            restart_time = run.pcg_tail(&mut sim, &mut st.tracker, st.step..cfg.total_steps, label);
         }
-
-        let (density, cum) = if restarted {
-            let _span = sfn_obs::span!("runtime/restart");
-            sim = fresh_sim;
-            let mut pcg = ExactProjector::labelled(
-                PcgSolver::new(MicPreconditioner::default(), 1e-7, 200_000),
-                "pcg",
-            );
-            let mut restart_tracker = CumDivNormTracker::new();
-            for restart_step in 0..cfg.total_steps {
-                if let Some(t) = limits.exceeded(restart_step, executed) {
-                    emit_shed(&t, executed);
-                    truncation = Some(t);
-                    break;
-                }
-                let step_t0 = (sfn_obs::event_enabled(Level::Trace) || sfn_metrics::live())
-                    .then(std::time::Instant::now);
-                let s = sim.step(&mut pcg);
-                restart_tracker.push(s.div_norm * inv_cells);
-                restart_time += s.projection_time.as_secs_f64();
-                executed += 1;
-                if let Some(t0) = step_t0 {
-                    let secs = t0.elapsed().as_secs_f64();
-                    sfn_metrics::record_step("pcg", secs);
-                    sfn_obs::event(Level::Trace, "runtime.step")
-                        .field_u64("step", restart_step as u64 + 1)
-                        .field_str("model", "pcg")
-                        .field_f64("secs", secs)
-                        .field_f64("proj_secs", s.projection_time.as_secs_f64())
-                        .field_f64("div_norm", s.div_norm * inv_cells)
-                        .emit();
-                }
-            }
-            (sim.density().clone(), restart_tracker.series().to_vec())
-        } else {
-            (sim.density().clone(), tracker.series().to_vec())
-        };
 
         let quarantined = self
             .candidates
             .iter()
             .enumerate()
-            .filter(|&(i, _)| quarantine.strikes(i) > 0)
-            .map(|(i, c)| (c.name.clone(), quarantine.strikes(i)))
+            .filter(|&(i, _)| st.quarantine.strikes(i) > 0)
+            .map(|(i, c)| (c.name.clone(), st.quarantine.strikes(i)))
             .collect();
 
         let outcome = RunOutcome {
-            density,
+            density: sim.density().clone(),
             events,
             model_names: roster,
             time_per_model,
@@ -991,27 +910,120 @@ impl SmartRuntime {
             restarted,
             restart_time,
             wall_time: timer.stop().as_secs_f64(),
-            cum_div_norm: cum,
-            rollbacks,
+            cum_div_norm: st.tracker.series().to_vec(),
+            rollbacks: st.rollbacks,
             degraded,
             quarantined,
             resumed_from,
-            truncation,
+            truncation: run.truncation,
         };
         (outcome, sim)
     }
 }
 
-/// One `runtime.shed` record per truncated run: the serving layer and
-/// `sfn-trace` both key off this to distinguish a deadline shed from a
-/// completed run.
-fn emit_shed(t: &Truncation, executed: usize) {
-    sfn_obs::counter_add("runtime.sheds", 1);
-    sfn_obs::event(Level::Warn, "runtime.shed")
-        .field_u64("step", t.step() as u64)
-        .field_str("reason", t.reason())
-        .field_u64("executed", executed as u64)
-        .emit();
+/// The scheduler state of one run: what a durable checkpoint persists
+/// and [`SmartRuntime::try_resume`] restores.
+struct LoopState {
+    tracker: CumDivNormTracker,
+    quarantine: QuarantineTable,
+    /// Index of the running candidate.
+    current: usize,
+    rollbacks: usize,
+    /// Completed simulation steps; rewinds on rollback.
+    step: usize,
+}
+
+/// Runs the steps of one run — the main loop's and the PCG tails' —
+/// checking the run's [`RunLimits`] before each.
+struct Stepper {
+    /// `DivNorm` (Eq. 5) is an un-normalised sum over cells; scaling by
+    /// the inverse cell count makes the KNN database — built offline on
+    /// *small* problems (§6.1) — transfer across grid sizes.
+    inv_cells: f64,
+    limits: RunLimits,
+    /// Executed-step counter for `RunLimits::max_steps`: unlike the
+    /// simulation step it never rewinds on rollback, so a corruption
+    /// storm cannot stretch a bounded run past its work budget.
+    executed: usize,
+    truncation: Option<Truncation>,
+}
+
+impl Stepper {
+    /// True when a bound stops the run at `step`. The cut is recorded
+    /// and reported as the run's one `runtime.shed` event, which the
+    /// serving layer and `sfn-trace` key off to tell a shed from a
+    /// completed run.
+    fn shed(&mut self, step: usize) -> bool {
+        let Some(t) = self.limits.exceeded(step, self.executed) else {
+            return false;
+        };
+        sfn_obs::counter_add("runtime.sheds", 1);
+        sfn_obs::event(Level::Warn, "runtime.shed")
+            .field_u64("step", t.step() as u64)
+            .field_str("reason", t.reason())
+            .field_u64("executed", self.executed as u64)
+            .emit();
+        self.truncation = Some(t);
+        true
+    }
+
+    /// Runs one simulation step on `projector`, feeds the normalised
+    /// `DivNorm` to `tracker` and reports it as step `n` of `model`.
+    fn step(
+        &mut self,
+        sim: &mut Simulation,
+        projector: &mut dyn PressureProjector,
+        tracker: &mut CumDivNormTracker,
+        model: &str,
+        n: usize,
+    ) -> StepStats {
+        // Per-step timeline record (Trace level): the raw material for
+        // `sfn-trace analyze` / `export` — timing is only taken when
+        // something would record the event.
+        let t0 = (sfn_obs::event_enabled(Level::Trace) || sfn_metrics::live())
+            .then(std::time::Instant::now);
+        let stats = sim.step(projector);
+        let div_norm = stats.div_norm * self.inv_cells;
+        tracker.push(div_norm);
+        self.executed += 1;
+        if let Some(t0) = t0 {
+            let secs = t0.elapsed().as_secs_f64();
+            sfn_metrics::record_step(model, secs);
+            sfn_obs::event(Level::Trace, "runtime.step")
+                .field_u64("step", n as u64)
+                .field_str("model", model)
+                .field_f64("secs", secs)
+                .field_f64("proj_secs", stats.projection_time.as_secs_f64())
+                .field_f64("div_norm", div_norm)
+                .emit();
+        }
+        stats
+    }
+
+    /// Runs `steps` on the exact PCG projector labelled `label` — a
+    /// straight loop: no checks, no models, nothing to quarantine —
+    /// until done or shed. Returns the projection seconds spent.
+    fn pcg_tail(
+        &mut self,
+        sim: &mut Simulation,
+        tracker: &mut CumDivNormTracker,
+        steps: std::ops::Range<usize>,
+        label: &'static str,
+    ) -> f64 {
+        let mut pcg = ExactProjector::labelled(
+            PcgSolver::new(MicPreconditioner::default(), 1e-7, 200_000),
+            label,
+        );
+        let mut secs = 0.0;
+        for step in steps {
+            if self.shed(step) {
+                break;
+            }
+            let stats = self.step(sim, &mut pcg, tracker, label, step + 1);
+            secs += stats.projection_time.as_secs_f64();
+        }
+        secs
+    }
 }
 
 #[cfg(test)]
@@ -1064,7 +1076,7 @@ mod tests {
             candidate("mid", &yang_spec(4), 2, 0.9, 0.03, 0.2),
             candidate("slow", &tompson_spec(8), 3, 0.7, 0.01, 0.4),
         ];
-        let rt = SmartRuntime::new(c, knn(), RuntimeConfig::default());
+        let rt = SmartRuntime::try_new(c, knn(), RuntimeConfig::default()).expect("runtime builds");
         // Accuracy order: fast(0.05), mid(0.03), slow(0.01).
         assert_eq!(rt.candidates()[rt.start_index()].name, "mid");
     }
@@ -1075,14 +1087,14 @@ mod tests {
             candidate("fast", &yang_spec(2), 1, 0.6, 0.05, 0.1),
             candidate("slow", &tompson_spec(8), 3, 0.9, 0.01, 0.4),
         ];
-        let rt = SmartRuntime::new(
+        let rt = SmartRuntime::try_new(
             c,
             knn(),
             RuntimeConfig {
                 use_mlp: false,
                 ..Default::default()
             },
-        );
+        ).expect("runtime builds");
         assert_eq!(rt.candidates()[rt.start_index()].name, "fast");
     }
 
@@ -1121,12 +1133,33 @@ mod tests {
     }
 
     #[test]
+    fn decide_follows_algorithm_2() {
+        use Action::{Keep, Restart, SwitchDown, SwitchUp};
+        let (lo, hi) = (0.009, 0.015);
+        // (predicted loss, mlp, up, down) -> verdict
+        let table = [
+            ((hi, true, Some(2), Some(0)), Keep),   // upper boundary is in the band
+            ((lo, true, Some(2), Some(0)), Keep),   // so is the lower one
+            ((0.012, true, Some(2), Some(0)), Keep),
+            ((0.020, true, Some(2), Some(0)), SwitchUp(2)),
+            ((0.020, true, None, Some(0)), Restart), // no model above
+            ((0.001, true, Some(2), Some(0)), SwitchDown(0)),
+            ((0.001, false, Some(2), Some(0)), Keep), // no MLP: never relax
+            ((0.001, true, Some(2), None), Keep),     // quarantine emptied the models below
+        ];
+        for ((pl, mlp, up, down), want) in table {
+            let got = decide(pl, lo, hi, mlp, up, down);
+            assert_eq!(got, want, "loss {pl} mlp {mlp} up {up:?} down {down:?}");
+        }
+    }
+
+    #[test]
     fn run_completes_and_accounts_time() {
         let c = vec![
             candidate("a", &yang_spec(2), 1, 0.8, 0.05, 0.1),
             candidate("b", &yang_spec(4), 2, 0.7, 0.02, 0.2),
         ];
-        let mut rt = SmartRuntime::new(
+        let mut rt = SmartRuntime::try_new(
             c,
             knn(),
             RuntimeConfig {
@@ -1134,7 +1167,7 @@ mod tests {
                 quality_target: 1.0, // always satisfied -> no restart
                 ..Default::default()
             },
-        );
+        ).expect("runtime builds");
         let out = rt.run(simulation(16));
         assert!(!out.restarted);
         assert!(!out.degraded);
@@ -1156,7 +1189,7 @@ mod tests {
             candidate("a", &yang_spec(2), 1, 0.8, 0.05, 0.1),
             candidate("b", &yang_spec(4), 2, 0.7, 0.02, 0.2),
         ];
-        let mut rt = SmartRuntime::new(
+        let mut rt = SmartRuntime::try_new(
             c,
             knn(),
             RuntimeConfig {
@@ -1164,7 +1197,7 @@ mod tests {
                 quality_target: 1e-9, // untrained nets can never meet this
                 ..Default::default()
             },
-        );
+        ).expect("runtime builds");
         let out = rt.run(simulation(16));
         assert!(out.restarted, "events: {:?}", out.events);
         assert!(matches!(out.events.last(), Some(SchedulerEvent::Restart { .. })));
@@ -1182,7 +1215,7 @@ mod tests {
             candidate("m1", &yang_spec(3), 2, 0.8, 0.03, 0.2),
             candidate("m2", &yang_spec(4), 3, 0.7, 0.01, 0.3),
         ];
-        let mut rt = SmartRuntime::new(
+        let mut rt = SmartRuntime::try_new(
             c,
             knn(),
             RuntimeConfig {
@@ -1191,7 +1224,7 @@ mod tests {
                 use_mlp: false, // start from the fastest
                 ..Default::default()
             },
-        );
+        ).expect("runtime builds");
         let out = rt.run(simulation(16));
         let switches: Vec<(&String, &String)> = out
             .events
@@ -1213,7 +1246,7 @@ mod tests {
             candidate("a", &yang_spec(2), 1, 0.8, 0.05, 0.1),
             candidate("b", &yang_spec(4), 2, 0.7, 0.02, 0.2),
         ];
-        let mut rt = SmartRuntime::new(
+        let mut rt = SmartRuntime::try_new(
             c,
             knn(),
             RuntimeConfig {
@@ -1222,7 +1255,7 @@ mod tests {
                 adaptive: false,
                 ..Default::default()
             },
-        );
+        ).expect("runtime builds");
         let out = rt.run(simulation(16));
         assert!(out.events.is_empty(), "static policy produced {:?}", out.events);
         assert!(!out.restarted);
@@ -1239,7 +1272,7 @@ mod tests {
             broken_candidate("broken", 0.9, 0.05),
             candidate("healthy", &yang_spec(4), 2, 0.5, 0.02, 0.2),
         ];
-        let mut rt = SmartRuntime::new(
+        let mut rt = SmartRuntime::try_new(
             c,
             knn(),
             RuntimeConfig {
@@ -1248,7 +1281,7 @@ mod tests {
                 use_mlp: false,      // ...nor a relaxation back to `broken`
                 ..Default::default()
             },
-        );
+        ).expect("runtime builds");
         let out = rt.run(simulation(16));
         assert!(!out.restarted && !out.degraded, "events: {:?}", out.events);
         assert_eq!(out.rollbacks, 1);
@@ -1270,7 +1303,7 @@ mod tests {
         // one-model roster: the upward exit must fold into a restart
         // and the downward one into a keep.
         let c = vec![candidate("only", &yang_spec(2), 1, 0.8, 0.05, 0.1)];
-        let mut rt = SmartRuntime::new(
+        let mut rt = SmartRuntime::try_new(
             c.clone(),
             knn(),
             RuntimeConfig {
@@ -1278,11 +1311,11 @@ mod tests {
                 quality_target: 1e-9, // always above the band: wants up
                 ..Default::default()
             },
-        );
+        ).expect("runtime builds");
         let out = rt.run(simulation(16));
         assert!(out.restarted, "no up-neighbour must restart: {:?}", out.events);
 
-        let mut rt = SmartRuntime::new(
+        let mut rt = SmartRuntime::try_new(
             c,
             knn(),
             RuntimeConfig {
@@ -1291,7 +1324,7 @@ mod tests {
                 use_mlp: true,
                 ..Default::default()
             },
-        );
+        ).expect("runtime builds");
         let out = rt.run(simulation(16));
         assert!(!out.restarted && out.events.is_empty(), "no down-neighbour must keep");
         assert_eq!(out.cum_div_norm.len(), 30);
@@ -1300,11 +1333,11 @@ mod tests {
     #[test]
     fn expired_deadline_sheds_immediately_with_valid_state() {
         let c = vec![candidate("a", &yang_spec(2), 1, 0.8, 0.05, 0.1)];
-        let mut rt = SmartRuntime::new(
+        let mut rt = SmartRuntime::try_new(
             c,
             knn(),
             RuntimeConfig { total_steps: 20, quality_target: 1.0, ..Default::default() },
-        );
+        ).expect("runtime builds");
         let limits = RunLimits {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
             max_steps: None,
@@ -1318,17 +1351,59 @@ mod tests {
     #[test]
     fn step_budget_truncates_at_the_boundary() {
         let c = vec![candidate("a", &yang_spec(2), 1, 0.8, 0.05, 0.1)];
-        let mut rt = SmartRuntime::new(
+        let mut rt = SmartRuntime::try_new(
             c,
             knn(),
             RuntimeConfig { total_steps: 20, quality_target: 1.0, ..Default::default() },
-        );
+        ).expect("runtime builds");
         let limits = RunLimits { deadline: None, max_steps: Some(7) };
         let out = rt.run_bounded(simulation(16), limits);
         assert_eq!(out.truncation, Some(Truncation::StepBudget { step: 7 }));
         assert_eq!(out.cum_div_norm.len(), 7);
         assert_eq!(out.steps_per_model.iter().sum::<usize>(), 7);
         assert!(out.density.all_finite());
+    }
+
+    #[test]
+    fn step_budget_runs_out_inside_the_restart_tail() {
+        // The lone model misses the target at the step-10 check and the
+        // run restarts on PCG from step 0; 10 steps are already spent,
+        // so a 14-step budget cuts the restart after 4 of its steps.
+        let c = vec![candidate("only", &yang_spec(2), 1, 0.8, 0.05, 0.1)];
+        let mut rt = SmartRuntime::try_new(
+            c,
+            knn(),
+            RuntimeConfig { total_steps: 30, quality_target: 1e-9, ..Default::default() },
+        ).expect("runtime builds");
+        let limits = RunLimits { deadline: None, max_steps: Some(14) };
+        let out = rt.run_bounded(simulation(16), limits);
+        assert!(out.restarted, "events: {:?}", out.events);
+        assert!(matches!(out.events.last(), Some(SchedulerEvent::Restart { step: 10, .. })));
+        assert_eq!(out.truncation, Some(Truncation::StepBudget { step: 4 }));
+        assert_eq!(out.cum_div_norm.len(), 4, "the series is the restarted run's");
+        assert!(out.restart_time > 0.0);
+        assert!(out.density.all_finite());
+    }
+
+    #[test]
+    fn step_budget_runs_out_inside_the_degraded_tail() {
+        // The only model corrupts its first step: one executed step,
+        // rollback to step 0, degrade. The degraded tail continues the
+        // step counter and tracker, so a 5-step budget stops it at 4.
+        let c = vec![broken_candidate("broken", 0.9, 0.02)];
+        let mut rt = SmartRuntime::try_new(
+            c,
+            knn(),
+            RuntimeConfig { total_steps: 12, quality_target: 0.05, ..Default::default() },
+        ).expect("runtime builds");
+        let limits = RunLimits { deadline: None, max_steps: Some(5) };
+        let out = rt.run_bounded(simulation(16), limits);
+        assert!(out.degraded && !out.restarted, "events: {:?}", out.events);
+        assert!(matches!(out.events.last(), Some(SchedulerEvent::Degrade { step: 0, barred: 1 })));
+        assert_eq!(out.truncation, Some(Truncation::StepBudget { step: 4 }));
+        assert_eq!(out.cum_div_norm.len(), 4);
+        assert!(out.restart_time > 0.0);
+        assert!(out.density.all_finite(), "a shed degraded run still renders");
     }
 
     fn temp_ckpt_dir(tag: &str) -> std::path::PathBuf {
@@ -1361,7 +1436,8 @@ mod tests {
     #[test]
     fn durable_checkpoints_are_written_at_cadence() {
         let dir = temp_ckpt_dir("cadence");
-        let mut rt = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
+        let mut rt = SmartRuntime::try_new(ckpt_candidates(), knn(), ckpt_config())
+            .expect("runtime builds");
         let mut d = DurableCheckpointer::new(&dir, 5, 10).unwrap();
         let (out, _) = rt.run_with_checkpoints(simulation(16), Some(&mut d));
         assert_eq!(out.resumed_from, None);
@@ -1380,14 +1456,16 @@ mod tests {
     #[test]
     fn killed_run_resumes_bit_identically() {
         // Reference: one uninterrupted run.
-        let mut rt = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
+        let mut rt = SmartRuntime::try_new(ckpt_candidates(), knn(), ckpt_config())
+            .expect("runtime builds");
         let (reference, ref_sim) = rt.run_with_checkpoints(simulation(16), None);
 
         // "Crashed" run: same schedule, but stop consuming it after the
         // step-10 checkpoint by running a copy only up to the durable
         // write, then resume from disk with a fresh runtime + sim.
         let dir = temp_ckpt_dir("resume");
-        let mut rt1 = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
+        let mut rt1 = SmartRuntime::try_new(ckpt_candidates(), knn(), ckpt_config())
+            .expect("runtime builds");
         let mut d1 = DurableCheckpointer::new(&dir, 5, 10).unwrap();
         let _ = rt1.run_with_checkpoints(simulation(16), Some(&mut d1));
         // Drop the newest checkpoints so the resume really recomputes
@@ -1395,7 +1473,8 @@ mod tests {
         // step ~12: only checkpoints 5 and 10 had been written).
         std::fs::remove_file(dir.join("ckpt-00000015.sfnc")).unwrap();
 
-        let mut rt2 = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
+        let mut rt2 = SmartRuntime::try_new(ckpt_candidates(), knn(), ckpt_config())
+            .expect("runtime builds");
         let mut d2 = DurableCheckpointer::new(&dir, 5, 10).unwrap();
         let (resumed, resumed_sim) = rt2.run_with_checkpoints(simulation(16), Some(&mut d2));
         assert_eq!(resumed.resumed_from, Some(10));
@@ -1414,7 +1493,8 @@ mod tests {
     #[test]
     fn roster_mismatch_refuses_resume() {
         let dir = temp_ckpt_dir("roster");
-        let mut rt = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
+        let mut rt = SmartRuntime::try_new(ckpt_candidates(), knn(), ckpt_config())
+            .expect("runtime builds");
         let mut d = DurableCheckpointer::new(&dir, 5, 10).unwrap();
         let _ = rt.run_with_checkpoints(simulation(16), Some(&mut d));
 
@@ -1424,7 +1504,7 @@ mod tests {
             candidate("x", &yang_spec(2), 7, 0.8, 0.05, 0.1),
             candidate("y", &yang_spec(4), 8, 0.7, 0.02, 0.2),
         ];
-        let mut rt2 = SmartRuntime::new(other, knn(), ckpt_config());
+        let mut rt2 = SmartRuntime::try_new(other, knn(), ckpt_config()).expect("runtime builds");
         let mut d2 = DurableCheckpointer::new(&dir, 5, 10).unwrap();
         let (out, _) = rt2.run_with_checkpoints(simulation(16), Some(&mut d2));
         assert_eq!(out.resumed_from, None, "mismatched roster must run fresh");
@@ -1435,13 +1515,15 @@ mod tests {
     #[test]
     fn geometry_mismatch_refuses_resume() {
         let dir = temp_ckpt_dir("geom");
-        let mut rt = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
+        let mut rt = SmartRuntime::try_new(ckpt_candidates(), knn(), ckpt_config())
+            .expect("runtime builds");
         let mut d = DurableCheckpointer::new(&dir, 5, 10).unwrap();
         let _ = rt.run_with_checkpoints(simulation(16), Some(&mut d));
 
         // Same roster, different grid: the snapshot must be refused and
         // the run started fresh on the new geometry.
-        let mut rt2 = SmartRuntime::new(ckpt_candidates(), knn(), ckpt_config());
+        let mut rt2 = SmartRuntime::try_new(ckpt_candidates(), knn(), ckpt_config())
+            .expect("runtime builds");
         let mut d2 = DurableCheckpointer::new(&dir, 5, 10).unwrap();
         let (out, sim) = rt2.run_with_checkpoints(simulation(24), Some(&mut d2));
         assert_eq!(out.resumed_from, None);
@@ -1455,7 +1537,7 @@ mod tests {
         // and finish the run on the exact solver — never panic, never
         // loop forever.
         let c = vec![broken_candidate("broken", 0.9, 0.02)];
-        let mut rt = SmartRuntime::new(
+        let mut rt = SmartRuntime::try_new(
             c,
             knn(),
             RuntimeConfig {
@@ -1463,7 +1545,7 @@ mod tests {
                 quality_target: 0.05,
                 ..Default::default()
             },
-        );
+        ).expect("runtime builds");
         let out = rt.run(simulation(16));
         assert!(out.degraded, "events: {:?}", out.events);
         assert!(!out.restarted);

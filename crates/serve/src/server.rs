@@ -295,13 +295,26 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeHandle> {
     }
 
     {
+        // Connection threads are cheap (they only parse + enqueue), but
+        // still bounded: past this cap a connection gets 503'd inline.
+        let max_conns = state.cfg.global_concurrency * 2 + 16;
         let state = Arc::clone(&state);
         let stop = Arc::clone(&shutdown);
-        threads.push(
-            std::thread::Builder::new()
-                .name("sfn-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &state, &stop))?,
-        );
+        let acceptor = move || {
+            sfn_httpcore::accept_loop(
+                &listener,
+                &stop,
+                max_conns,
+                "sfn-serve-conn",
+                move |stream| handle_connection(&state, stream),
+                |mut stream| {
+                    sfn_obs::counter_add("serve.conn_rejected", 1);
+                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+                    respond_refusal(&mut stream, &AdmitError::Overloaded);
+                },
+            )
+        };
+        threads.push(std::thread::Builder::new().name("sfn-serve-accept".into()).spawn(acceptor)?);
     }
 
     Ok(ServeHandle { addr, shutdown, state, threads })
@@ -311,46 +324,6 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<ServeHandle> {
 /// applied); `None` when the bind fails.
 pub fn serve_from_env() -> Option<ServeHandle> {
     serve(ServeConfig::from_env()).ok()
-}
-
-// ------------------------------------------------------------ acceptor
-
-fn accept_loop(listener: &TcpListener, state: &Arc<State>, stop: &Arc<AtomicBool>) {
-    // Connection threads are cheap (they only parse + enqueue), but
-    // still bounded: past this cap a connection gets 503'd inline.
-    let max_conns = state.cfg.global_concurrency * 2 + 16;
-    let active = Arc::new(AtomicUsize::new(0));
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                if active.load(Ordering::Relaxed) >= max_conns {
-                    sfn_obs::counter_add("serve.conn_rejected", 1);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    respond_refusal(&mut stream, &AdmitError::Overloaded);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::Relaxed);
-                let state = Arc::clone(state);
-                let conn_active = Arc::clone(&active);
-                let spawned = std::thread::Builder::new().name("sfn-serve-conn".into()).spawn(
-                    move || {
-                        handle_connection(&state, stream);
-                        conn_active.fetch_sub(1, Ordering::Relaxed);
-                    },
-                );
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
 }
 
 // ---------------------------------------------------------- connection

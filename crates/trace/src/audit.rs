@@ -1,23 +1,17 @@
 //! Scheduler decision audit: replays every `scheduler.decision` record
-//! against the Algorithm 2 rule and flags contradictions.
+//! through [`sfn_runtime::decide`] — the very rule the runtime ran —
+//! and flags contradictions.
 //!
 //! The runtime emits each decision *with* the inputs that produced it
-//! (prediction, band, candidate neighbourhood, quarantine state), so
-//! the rule can be re-evaluated offline:
-//!
-//! ```text
-//! if   predicted_loss > band_hi:  switch_up    (restart if no model above)
-//! elif predicted_loss < band_lo
-//!      and mlp and a model below: switch_down
-//! else:                           keep
-//! ```
-//!
-//! Older or foreign traces without the enriched fields are checked
-//! coarsely (an action must at least be *consistent* with the band);
-//! records with a `null` prediction are counted as skipped, never
-//! flagged.
+//! (prediction, band, MLP flag, the available `up`/`down` neighbours
+//! after quarantine), so the verdict can be re-derived offline from
+//! the record alone. A recorded neighbour of `"none"` is no neighbour.
+//! A record with a prediction but without `mlp`/`up`/`down` cannot be
+//! replayed and is itself a contradiction; records with a `null`
+//! prediction (tracker warm-up) are counted as skipped, never flagged.
 
 use crate::event::{Trace, TraceEvent};
+use sfn_runtime::decide;
 use std::fmt::Write as _;
 
 /// One decision that contradicts the replayed rule.
@@ -40,10 +34,10 @@ pub struct Contradiction {
 pub struct AuditReport {
     /// `scheduler.decision` records seen.
     pub decisions: u64,
-    /// Records skipped for missing/null inputs (not contradictions).
+    /// Records skipped for a missing/null prediction (not
+    /// contradictions).
     pub skipped: u64,
-    /// Records audited with the full enriched rule (vs. coarse band
-    /// consistency only).
+    /// Records replayed through [`sfn_runtime::decide`].
     pub full_replays: u64,
     /// `parser.rejected` records — untrusted inputs (artifacts, model
     /// blobs, fault schedules, env values) a hardened boundary refused.
@@ -123,24 +117,8 @@ impl AuditReport {
     }
 }
 
-fn replay_full(pl: f64, hi: f64, lo: f64, mlp: bool, up: &str, down: &str) -> (&'static str, String) {
-    if pl > hi {
-        if up != "none" {
-            ("switch_up", format!("loss {pl:.4e} > band_hi {hi:.4e} with {up} above"))
-        } else {
-            ("restart", format!("loss {pl:.4e} > band_hi {hi:.4e} with no model above"))
-        }
-    } else if pl < lo && mlp && down != "none" {
-        ("switch_down", format!("loss {pl:.4e} < band_lo {lo:.4e} with {down} below"))
-    } else {
-        ("keep", format!("loss {pl:.4e} within [{lo:.4e}, {hi:.4e}] (or nowhere to go)"))
-    }
-}
-
 fn audit_one(e: &TraceEvent, report: &mut AuditReport) {
-    let actual = e.str("action").unwrap_or("?").to_string();
-    let step = e.u64("step").unwrap_or(0);
-    let model = e.str("model").unwrap_or("?").to_string();
+    let actual = e.str("action").unwrap_or("?");
     let (Some(pl), Some(hi), Some(lo)) = (e.f64("predicted_loss"), e.f64("band_hi"), e.f64("band_lo"))
     else {
         // A null prediction (warm-up NaN) or a pre-envelope record:
@@ -148,42 +126,26 @@ fn audit_one(e: &TraceEvent, report: &mut AuditReport) {
         report.skipped += 1;
         return;
     };
-    let mut push = |expected: &str, reason: String| {
-        report.contradictions.push(Contradiction {
-            step,
-            model: model.clone(),
-            expected: expected.to_string(),
-            actual: actual.clone(),
-            reason,
-        });
-    };
-    match (e.bool("mlp"), e.str("up"), e.str("down")) {
+    let (expected, reason) = match (e.bool("mlp"), e.str("up"), e.str("down")) {
         (Some(mlp), Some(up), Some(down)) => {
             report.full_replays += 1;
-            let (expected, reason) = replay_full(pl, hi, lo, mlp, up, down);
-            if expected != actual {
-                push(expected, reason);
+            let neighbour = |name| (name != "none").then_some(name);
+            let expected = decide(pl, lo, hi, mlp, neighbour(up), neighbour(down)).as_str();
+            if expected == actual {
+                return;
             }
+            let band = format!("band [{lo:.4e}, {hi:.4e}]");
+            (expected, format!("loss {pl:.4e} vs {band}; mlp {mlp}, up {up}, down {down}"))
         }
-        _ => {
-            // Coarse mode: without the candidate neighbourhood the
-            // exact action is ambiguous, but the band still constrains
-            // it. Escalations require an over-band prediction and
-            // relaxations an under-band one.
-            match actual.as_str() {
-                "switch_up" | "restart" if pl <= hi => {
-                    push("keep", format!("escalation with loss {pl:.4e} <= band_hi {hi:.4e}"));
-                }
-                "switch_down" if pl >= lo => {
-                    push("keep", format!("relaxation with loss {pl:.4e} >= band_lo {lo:.4e}"));
-                }
-                "keep" if pl > hi => {
-                    push("switch_up", format!("keep with loss {pl:.4e} > band_hi {hi:.4e}"));
-                }
-                _ => {}
-            }
-        }
-    }
+        _ => ("?", "missing replay inputs (mlp/up/down)".to_string()),
+    };
+    report.contradictions.push(Contradiction {
+        step: e.u64("step").unwrap_or(0),
+        model: e.str("model").unwrap_or("?").to_string(),
+        expected: expected.to_string(),
+        actual: actual.to_string(),
+        reason,
+    });
 }
 
 /// Replays the brownout rung chain: transitions must move one level
@@ -390,16 +352,17 @@ mod tests {
     }
 
     #[test]
-    fn coarse_mode_checks_band_consistency_only() {
-        // keep inside the band, no enriched fields: clean.
-        let ok = audit(&parse_trace(&decision("0.010", "keep", false)));
-        assert!(ok.clean());
-        assert_eq!(ok.full_replays, 0);
-        // switch_down above band_lo: contradiction even coarsely.
-        let bad = audit(&parse_trace(&decision("0.010", "switch_down", false)));
-        assert_eq!(bad.contradictions.len(), 1);
-        // switch_down below band_lo: plausible (down model unknown).
-        let plausible = audit(&parse_trace(&decision("0.001", "switch_down", false)));
-        assert!(plausible.clean());
+    fn prediction_without_replay_inputs_is_a_contradiction() {
+        // Every runtime decision carries mlp/up/down; a record that has
+        // a prediction but lacks them cannot be replayed, so it is
+        // flagged rather than waved through on band consistency.
+        let r = audit(&parse_trace(&decision("0.010", "keep", false)));
+        assert_eq!(r.full_replays, 0);
+        assert_eq!(r.contradictions.len(), 1);
+        assert!(r.contradictions[0].reason.contains("missing replay inputs"), "{}", r.render());
+        // Without a prediction there is nothing to replay: skipped.
+        let r = audit(&parse_trace(&decision("null", "keep", false)));
+        assert_eq!(r.skipped, 1);
+        assert!(r.clean());
     }
 }

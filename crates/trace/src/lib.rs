@@ -10,9 +10,10 @@
 //!   per-model time/step shares (the Table-3 analogue, cross-checkable
 //!   against `RunSummary`), scheduler action counts and fault-recovery
 //!   latency from `fault.injected` to the resolving event.
-//! * [`audit`] — replays every `scheduler.decision` against the
-//!   Algorithm 2 rule and reports contradictions, so a scheduler bug
-//!   shows up as a non-zero audit instead of a quietly wrong run.
+//! * [`audit`] — replays every `scheduler.decision` through
+//!   [`sfn_runtime::decide`], the runtime's own Algorithm 2 rule, and
+//!   reports contradictions, so a scheduler bug shows up as a non-zero
+//!   audit instead of a quietly wrong run.
 //! * [`chrome`] — exports the timeline as Chrome trace-event JSON
 //!   loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //! * [`diff`] — compares two runs (raw traces or saved summaries)
@@ -27,9 +28,8 @@
 //!
 //! The `sfn-trace` binary wraps all of the above as subcommands.
 //!
-//! Like `sfn-obs`, the crate is dependency-free: the JSONL comes back
-//! through [`sfn_obs::json`], the same hand-rolled parser that the
-//! fault-injection config uses.
+//! The JSONL comes back through [`sfn_obs::json`], the same hand-rolled
+//! parser that the fault-injection config uses.
 
 #![warn(missing_docs)]
 
